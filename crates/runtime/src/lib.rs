@@ -47,6 +47,7 @@ pub mod gc;
 pub mod heap;
 pub mod machine;
 pub mod profile;
+mod stack;
 pub mod standard;
 pub mod trace;
 pub mod value;

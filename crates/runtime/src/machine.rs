@@ -13,15 +13,23 @@
 //! * tail calls never grow the continuation stack, which is what makes
 //!   the FBIP traversals of §2.6 run in constant stack space.
 //!
+//! Frame slots live on one segmented value stack (the `stack` module): a
+//! call stages its arguments above the caller's frame and they become
+//! the callee's frame in place, a return truncates, and a tail call
+//! overwrites the dying frame. Constructor and closure operands are
+//! staged in the same space, so the step loop allocates no Rust memory
+//! on its common path.
+//!
 //! The same machine executes all memory-management modes; in GC mode it
 //! additionally triggers the mark–sweep collector of [`crate::gc`] at
-//! allocation points, enumerating its own environments as roots.
+//! allocation points, enumerating the value stack as its roots.
 
 use crate::code::{Atom, Compiled, RArm, RExpr, Slot};
 use crate::error::RuntimeError;
 use crate::gc::{Collector, GcConfig};
 use crate::heap::{BlockTag, Heap, HeapConfig, ReclaimMode};
 use crate::profile::FrameKind;
+use crate::stack::{Caller, ValueStack};
 use crate::value::Value;
 use perceus_core::ir::expr::PrimOp;
 use perceus_core::ir::{CtorId, FunId, TypeTable};
@@ -183,14 +191,15 @@ impl Default for RunConfig {
 
 /// A pending continuation.
 pub(crate) enum Frame<'p> {
-    /// Return from a function call: restore `env`, optionally store the
-    /// value, optionally continue (otherwise keep returning).
+    /// Return from a function call: pop the callee's slots back to the
+    /// caller's frame, optionally store the value, optionally continue
+    /// (otherwise keep returning).
     Call {
-        env: Vec<Value>,
+        caller: Caller,
         dst: Option<Slot>,
         cont: Option<&'p RExpr>,
     },
-    /// A compound let-rhs finished: store into the current env.
+    /// A compound let-rhs finished: store into the current frame.
     Local { dst: Slot, cont: &'p RExpr },
     /// A compound statement finished: discard the value.
     Discard { cont: &'p RExpr },
@@ -201,14 +210,11 @@ pub struct Machine<'p> {
     code: &'p Compiled,
     /// The heap (public so tests and the harness can read statistics).
     pub heap: Heap,
-    pub(crate) frames: Vec<Frame<'p>>,
-    pub(crate) env: Vec<Value>,
+    frames: Vec<Frame<'p>>,
+    stack: ValueStack,
     output: Vec<i64>,
     collector: Option<Collector>,
     config: RunConfig,
-    /// Recycled environment vectors (a call would otherwise allocate a
-    /// fresh `Vec` per frame; the pool makes calls allocation-free).
-    env_pool: Vec<Vec<Value>>,
     /// Number of garbage-free audits run (see `RunConfig::audit_every`).
     audits: u64,
 }
@@ -237,11 +243,10 @@ impl<'p> Machine<'p> {
             code,
             heap,
             frames: Vec::new(),
-            env: Vec::new(),
+            stack: ValueStack::default(),
             output: Vec::new(),
             collector,
             config,
-            env_pool: Vec::new(),
             audits: 0,
         }
     }
@@ -255,7 +260,7 @@ impl<'p> Machine<'p> {
     /// turns tracing/profiling on if the heap doesn't have them yet.
     ///
     /// The machine holds no state besides the heap and this call's
-    /// fresh frames/environment, so a `with_heap` → run →
+    /// fresh frames and value stack, so a `with_heap` → run →
     /// [`Machine::into_heap`] round trip is fully reentrant: any number
     /// of sequential sessions can share the heap with no bleed-through
     /// (and the generation check catches a leaked address from a
@@ -277,11 +282,10 @@ impl<'p> Machine<'p> {
             code,
             heap,
             frames: Vec::new(),
-            env: Vec::new(),
+            stack: ValueStack::default(),
             output: Vec::new(),
             collector,
             config,
-            env_pool: Vec::new(),
             audits: 0,
         }
     }
@@ -297,28 +301,6 @@ impl<'p> Machine<'p> {
     /// [`RunConfig::audit_every`] was set.
     pub fn audits_run(&self) -> u64 {
         self.audits
-    }
-
-    fn take_env(&mut self) -> Vec<Value> {
-        self.env_pool.pop().unwrap_or_default()
-    }
-
-    fn recycle_env(&mut self, mut env: Vec<Value>) {
-        if self.env_pool.len() < 64 {
-            env.clear();
-            self.env_pool.push(env);
-        }
-    }
-
-    /// Builds a callee environment from argument atoms (read against the
-    /// *current* environment), padded to `nslots`.
-    fn build_env(&mut self, args: &[Atom], nslots: usize) -> Vec<Value> {
-        let mut env = self.take_env();
-        for a in args {
-            env.push(self.read(*a));
-        }
-        env.resize(nslots, Value::Unit);
-        env
     }
 
     /// The integers printed by `println` during the run.
@@ -357,7 +339,7 @@ impl<'p> Machine<'p> {
 
     /// Begins a *resumable* execution of `fun` — the checkpoint/resume
     /// entry point. The returned [`Execution`] owns the continuation
-    /// state (environment, frame stack, pending output) whenever it is
+    /// state (value stack, frame stack, pending output) whenever it is
     /// suspended; drive it with [`Execution::run`], giving each leg a
     /// step budget. The profiler frame stack lives inside the heap, so
     /// it travels with the heap across suspensions automatically.
@@ -382,7 +364,7 @@ impl<'p> Machine<'p> {
         Ok(Execution {
             cur: Some(&f.body),
             frames: Vec::new(),
-            env: frame_env(args, f.nslots),
+            stack: ValueStack::entry(&args, f.nslots),
             output: Vec::new(),
             steps: 0,
             code_uid: self.code.uid(),
@@ -449,21 +431,17 @@ impl<'p> Machine<'p> {
                 }
                 RExpr::Let { slot, rhs, body } => match &**rhs {
                     RExpr::Call { fun, args } => {
-                        let (env, callee, fk) = self.prepare_call(*fun, args)?;
-                        self.push_call_frame(fk, Some(*slot), Some(body));
-                        self.env = env;
-                        cur = callee;
+                        let callee = self.stage_call(*fun, args)?;
+                        cur = self.enter(callee, Some(*slot), Some(body));
                     }
                     RExpr::App { fun, args } => {
                         let f = self.read(*fun);
-                        let (env, callee, fk) = self.prepare_apply(f, args)?;
-                        self.push_call_frame(fk, Some(*slot), Some(body));
-                        self.env = env;
-                        cur = callee;
+                        let callee = self.stage_apply(f, args)?;
+                        cur = self.enter(callee, Some(*slot), Some(body));
                     }
                     simple if is_simple(simple) => {
                         let v = self.eval_simple(simple)?;
-                        self.env[*slot as usize] = v;
+                        self.stack.set(*slot, v);
                         cur = body;
                     }
                     compound => {
@@ -476,17 +454,13 @@ impl<'p> Machine<'p> {
                 },
                 RExpr::Seq(a, b) => match &**a {
                     RExpr::Call { fun, args } => {
-                        let (env, callee, fk) = self.prepare_call(*fun, args)?;
-                        self.push_call_frame(fk, None, Some(b));
-                        self.env = env;
-                        cur = callee;
+                        let callee = self.stage_call(*fun, args)?;
+                        cur = self.enter(callee, None, Some(b));
                     }
                     RExpr::App { fun, args } => {
                         let f = self.read(*fun);
-                        let (env, callee, fk) = self.prepare_apply(f, args)?;
-                        self.push_call_frame(fk, None, Some(b));
-                        self.env = env;
-                        cur = callee;
+                        let callee = self.stage_apply(f, args)?;
+                        cur = self.enter(callee, None, Some(b));
                     }
                     simple if is_simple(simple) => {
                         self.eval_simple(simple)?;
@@ -498,41 +472,24 @@ impl<'p> Machine<'p> {
                     }
                 },
                 RExpr::Call { fun, args } => {
-                    let (env, callee, fk) = self.prepare_call(*fun, args)?;
-                    if self.tail_position() {
-                        // Tail call: the current frame dies here.
-                        self.heap.prof_tail(fk);
-                        let dead = std::mem::replace(&mut self.env, env);
-                        self.recycle_env(dead);
-                    } else {
-                        self.push_call_frame(fk, None, None);
-                        self.env = env;
-                    }
-                    cur = callee;
+                    let callee = self.stage_call(*fun, args)?;
+                    cur = self.jump(callee);
                 }
                 RExpr::App { fun, args } => {
                     let f = self.read(*fun);
-                    let (env, callee, fk) = self.prepare_apply(f, args)?;
-                    if self.tail_position() {
-                        self.heap.prof_tail(fk);
-                        let dead = std::mem::replace(&mut self.env, env);
-                        self.recycle_env(dead);
-                    } else {
-                        self.push_call_frame(fk, None, None);
-                        self.env = env;
-                    }
-                    cur = callee;
+                    let callee = self.stage_apply(f, args)?;
+                    cur = self.jump(callee);
                 }
                 RExpr::Match {
                     scrut,
                     arms,
                     default,
                 } => {
-                    let v = self.env[*scrut as usize];
+                    let v = self.stack.get(*scrut);
                     cur = select_arm(
                         &self.heap,
                         &self.code.types,
-                        &mut self.env,
+                        self.stack.frame_mut(),
                         v,
                         arms,
                         default,
@@ -543,7 +500,7 @@ impl<'p> Machine<'p> {
                     unique,
                     shared,
                 } => {
-                    let v = self.env[*var as usize];
+                    let v = self.stack.get(*var);
                     cur = if self.heap.is_unique(v)? {
                         unique
                     } else {
@@ -551,28 +508,28 @@ impl<'p> Machine<'p> {
                     };
                 }
                 RExpr::Dup(slot, rest) => {
-                    self.heap.dup(self.env[*slot as usize])?;
+                    self.heap.dup(self.stack.get(*slot))?;
                     cur = rest;
                 }
                 RExpr::Drop(slot, rest) => {
-                    self.heap.drop_value(self.env[*slot as usize])?;
+                    self.heap.drop_value(self.stack.get(*slot))?;
                     cur = rest;
                 }
                 RExpr::DropReuse { var, token, body } => {
-                    let t = self.heap.drop_reuse(self.env[*var as usize])?;
-                    self.env[*token as usize] = t;
+                    let t = self.heap.drop_reuse(self.stack.get(*var))?;
+                    self.stack.set(*token, t);
                     cur = body;
                 }
                 RExpr::Free(slot, rest) => {
-                    self.heap.free_cell(self.env[*slot as usize])?;
+                    self.heap.free_cell(self.stack.get(*slot))?;
                     cur = rest;
                 }
                 RExpr::DecRef(slot, rest) => {
-                    self.heap.decref(self.env[*slot as usize])?;
+                    self.heap.decref(self.stack.get(*slot))?;
                     cur = rest;
                 }
                 RExpr::DropToken(slot, rest) => {
-                    self.heap.drop_token(self.env[*slot as usize])?;
+                    self.heap.drop_token(self.stack.get(*slot))?;
                     cur = rest;
                 }
                 simple => {
@@ -596,10 +553,31 @@ impl<'p> Machine<'p> {
         )
     }
 
-    fn push_call_frame(&mut self, fk: FrameKind, dst: Option<Slot>, cont: Option<&'p RExpr>) {
-        self.heap.prof_enter(fk);
-        let env = std::mem::take(&mut self.env);
-        self.frames.push(Frame::Call { env, dst, cont });
+    /// Enters a staged callee above the current frame, saving a return
+    /// continuation.
+    fn enter(
+        &mut self,
+        callee: Callee<'p>,
+        dst: Option<Slot>,
+        cont: Option<&'p RExpr>,
+    ) -> &'p RExpr {
+        self.heap.prof_enter(callee.kind);
+        let caller = self.stack.push_frame(callee.mark, callee.nslots);
+        self.frames.push(Frame::Call { caller, dst, cont });
+        callee.body
+    }
+
+    /// Transfers to a staged callee from a call in tail position, where
+    /// the current frame dies and the callee's overwrites it; otherwise
+    /// enters it like a non-tail call whose value is returned.
+    fn jump(&mut self, callee: Callee<'p>) -> &'p RExpr {
+        if self.tail_position() {
+            self.heap.prof_tail(callee.kind);
+            self.stack.replace_frame(callee.mark, callee.nslots);
+            callee.body
+        } else {
+            self.enter(callee, None, None)
+        }
     }
 
     /// Delivers a value to the next continuation.
@@ -607,12 +585,11 @@ impl<'p> Machine<'p> {
         loop {
             match self.frames.pop() {
                 None => return None,
-                Some(Frame::Call { env, dst, cont }) => {
+                Some(Frame::Call { caller, dst, cont }) => {
                     self.heap.prof_exit();
-                    let dead = std::mem::replace(&mut self.env, env);
-                    self.recycle_env(dead);
+                    self.stack.pop_frame(caller);
                     if let Some(d) = dst {
-                        self.env[d as usize] = v;
+                        self.stack.set(d, v);
                     }
                     match cont {
                         Some(c) => return Some(c),
@@ -620,7 +597,7 @@ impl<'p> Machine<'p> {
                     }
                 }
                 Some(Frame::Local { dst, cont }) => {
-                    self.env[dst as usize] = v;
+                    self.stack.set(dst, v);
                     return Some(cont);
                 }
                 Some(Frame::Discard { cont }) => return Some(cont),
@@ -630,23 +607,25 @@ impl<'p> Machine<'p> {
 
     fn read(&self, a: Atom) -> Value {
         match a {
-            Atom::Slot(s) => self.env[s as usize],
+            Atom::Slot(s) => self.stack.get(s),
             Atom::Const(v) => v,
         }
     }
 
-    fn read_args(&self, args: &[Atom]) -> Vec<Value> {
-        args.iter().map(|a| self.read(*a)).collect()
+    /// Stages the values of `atoms` above the current frame; returns
+    /// the mark they start at.
+    fn stage(&mut self, atoms: &[Atom]) -> usize {
+        let mark = self.stack.reserve(atoms.len());
+        for a in atoms {
+            let v = self.read(*a);
+            self.stack.push(v);
+        }
+        mark
     }
 
-    /// Builds the environment for a direct call (from the current
-    /// frame's atoms); returns it with the callee body. The caller
-    /// decides whether to save the current frame or tail-jump.
-    fn prepare_call(
-        &mut self,
-        fun: FunId,
-        args: &[Atom],
-    ) -> Result<(Vec<Value>, &'p RExpr, FrameKind), RuntimeError> {
+    /// Stages a direct call's arguments (read from the current frame);
+    /// the caller then enters or tail-jumps to the callee.
+    fn stage_call(&mut self, fun: FunId, args: &[Atom]) -> Result<Callee<'p>, RuntimeError> {
         let f = &self.code.funs[fun.0 as usize];
         if f.arity != args.len() {
             return Err(RuntimeError::TypeMismatch(format!(
@@ -656,21 +635,19 @@ impl<'p> Machine<'p> {
                 args.len()
             )));
         }
-        let nslots = f.nslots;
-        let body = &f.body;
-        let env = self.build_env(args, nslots);
-        Ok((env, body, FrameKind::Fun(fun)))
+        Ok(Callee {
+            mark: self.stage(args),
+            nslots: f.nslots,
+            body: &f.body,
+            kind: FrameKind::Fun(fun),
+        })
     }
 
     /// Application of a first-class function value — rule (appᵣ):
-    /// `dup ys; drop f; jump`.
-    fn prepare_apply(
-        &mut self,
-        f: Value,
-        args: &[Atom],
-    ) -> Result<(Vec<Value>, &'p RExpr, FrameKind), RuntimeError> {
+    /// `dup ys; drop f; jump`. Stages the captures, then the arguments.
+    fn stage_apply(&mut self, f: Value, args: &[Atom]) -> Result<Callee<'p>, RuntimeError> {
         match f {
-            Value::Global(id) => self.prepare_call(id, args),
+            Value::Global(id) => self.stage_call(id, args),
             Value::Ref(addr) => {
                 let block = self.heap.view(addr)?;
                 let BlockTag::Closure(lam) = block.tag else {
@@ -686,22 +663,23 @@ impl<'p> Machine<'p> {
                         args.len()
                     )));
                 }
-                let nslots = l.nslots;
-                let body = &l.body;
-                let mut env = self.take_env();
-                let block = self.heap.view(addr)?;
-                env.extend_from_slice(block.fields);
+                let mark = self.stack.reserve(block.fields.len() + args.len());
+                self.stack.extend(block.fields);
                 for a in args {
-                    env.push(self.read(*a));
+                    let v = self.read(*a);
+                    self.stack.push(v);
                 }
-                env.resize(nslots, Value::Unit);
                 // Rule (appᵣ): retain the captures, release the closure.
-                let ncaptures = self.code.lambdas[lam.0 as usize].ncaptures;
-                for &capture in env.iter().take(ncaptures) {
-                    self.heap.dup(capture)?;
+                for i in 0..l.ncaptures {
+                    self.heap.dup(self.stack.scratch(mark)[i])?;
                 }
                 self.heap.drop_value(f)?;
-                Ok((env, body, FrameKind::Lam(lam)))
+                Ok(Callee {
+                    mark,
+                    nslots: l.nslots,
+                    body: &l.body,
+                    kind: FrameKind::Lam(lam),
+                })
             }
             other => Err(RuntimeError::TypeMismatch(format!(
                 "application of non-function value {other}"
@@ -713,16 +691,18 @@ impl<'p> Machine<'p> {
     fn eval_simple(&mut self, e: &RExpr) -> Result<Value, RuntimeError> {
         match e {
             RExpr::Atom(a) => Ok(self.read(*a)),
-            RExpr::Prim { op, args } => {
-                let vals = self.read_args(args);
-                self.eval_prim(*op, &vals)
-            }
+            RExpr::Prim { op, args } => self.eval_prim(*op, args),
             RExpr::MkClosure { lam, captures } => {
                 self.maybe_collect();
-                let mut fields = self.take_env();
-                fields.extend(captures.iter().map(|s| self.env[*s as usize]));
-                let addr = self.heap.alloc_slice(BlockTag::Closure(*lam), &fields);
-                self.recycle_env(fields);
+                let mark = self.stack.reserve(captures.len());
+                for s in captures {
+                    let v = self.stack.get(*s);
+                    self.stack.push(v);
+                }
+                let addr = self
+                    .heap
+                    .alloc_slice(BlockTag::Closure(*lam), self.stack.scratch(mark));
+                self.stack.truncate(mark);
                 Ok(Value::Ref(addr))
             }
             RExpr::Con {
@@ -731,26 +711,13 @@ impl<'p> Machine<'p> {
                 reuse,
                 skip,
             } => {
-                let vals = self.read_args(args);
-                if let Some(tok_slot) = reuse {
-                    match self.env[*tok_slot as usize] {
-                        Value::Token(Some(addr)) => {
-                            let out = self.heap.alloc_into(addr, *ctor, &vals, skip)?;
-                            return Ok(Value::Ref(out));
-                        }
-                        Value::Token(None) => {}
-                        other => {
-                            return Err(RuntimeError::TypeMismatch(format!(
-                                "constructor reuse argument is not a token: {other}"
-                            )))
-                        }
-                    }
-                }
-                self.maybe_collect();
-                let addr = self.heap.alloc_slice(BlockTag::Ctor(*ctor), &vals);
-                Ok(Value::Ref(addr))
+                // Field values are staged before the token is examined.
+                let mark = self.stage(args);
+                let v = self.alloc_con(*ctor, mark, *reuse, skip);
+                self.stack.truncate(mark);
+                v
             }
-            RExpr::TokenOf(slot) => self.heap.claim(self.env[*slot as usize]),
+            RExpr::TokenOf(slot) => self.heap.claim(self.stack.get(*slot)),
             RExpr::NullToken => Ok(Value::Token(None)),
             RExpr::Abort(msg) => Err(RuntimeError::Abort(msg.to_string())),
             other => Err(RuntimeError::Internal(format!(
@@ -759,71 +726,107 @@ impl<'p> Machine<'p> {
         }
     }
 
-    fn eval_prim(&mut self, op: PrimOp, vals: &[Value]) -> Result<Value, RuntimeError> {
+    /// Allocates a constructor from the fields staged at `mark`, in
+    /// place of the reuse token when there is one.
+    fn alloc_con(
+        &mut self,
+        ctor: CtorId,
+        mark: usize,
+        reuse: Option<Slot>,
+        skip: &[bool],
+    ) -> Result<Value, RuntimeError> {
+        if let Some(tok_slot) = reuse {
+            match self.stack.get(tok_slot) {
+                Value::Token(Some(addr)) => {
+                    let fields = self.stack.scratch(mark);
+                    return Ok(Value::Ref(self.heap.alloc_into(addr, ctor, fields, skip)?));
+                }
+                Value::Token(None) => {}
+                other => {
+                    return Err(RuntimeError::TypeMismatch(format!(
+                        "constructor reuse argument is not a token: {other}"
+                    )))
+                }
+            }
+        }
+        self.maybe_collect();
+        let addr = self
+            .heap
+            .alloc_slice(BlockTag::Ctor(ctor), self.stack.scratch(mark));
+        Ok(Value::Ref(addr))
+    }
+
+    /// Applies a primitive, reading each operand straight from its atom.
+    fn eval_prim(&mut self, op: PrimOp, args: &[Atom]) -> Result<Value, RuntimeError> {
         use PrimOp::*;
-        let int = |v: &Value| {
+        let int = |v: Value| {
             v.as_int()
                 .ok_or_else(|| RuntimeError::TypeMismatch(format!("expected an integer, got {v}")))
         };
+        let arg = |m: &Self, i: usize| m.read(args[i]);
         let boolean = |b: bool| Value::Enum(if b { TypeTable::TRUE } else { TypeTable::FALSE });
         Ok(match op {
-            Add => Value::Int(int(&vals[0])?.wrapping_add(int(&vals[1])?)),
-            Sub => Value::Int(int(&vals[0])?.wrapping_sub(int(&vals[1])?)),
-            Mul => Value::Int(int(&vals[0])?.wrapping_mul(int(&vals[1])?)),
+            Add => Value::Int(int(arg(self, 0))?.wrapping_add(int(arg(self, 1))?)),
+            Sub => Value::Int(int(arg(self, 0))?.wrapping_sub(int(arg(self, 1))?)),
+            Mul => Value::Int(int(arg(self, 0))?.wrapping_mul(int(arg(self, 1))?)),
             Div => {
-                let d = int(&vals[1])?;
+                let d = int(arg(self, 1))?;
                 if d == 0 {
                     return Err(RuntimeError::DivisionByZero);
                 }
-                Value::Int(int(&vals[0])?.wrapping_div(d))
+                Value::Int(int(arg(self, 0))?.wrapping_div(d))
             }
             Rem => {
-                let d = int(&vals[1])?;
+                let d = int(arg(self, 1))?;
                 if d == 0 {
                     return Err(RuntimeError::DivisionByZero);
                 }
-                Value::Int(int(&vals[0])?.wrapping_rem(d))
+                Value::Int(int(arg(self, 0))?.wrapping_rem(d))
             }
-            Neg => Value::Int(int(&vals[0])?.wrapping_neg()),
-            Lt => boolean(int(&vals[0])? < int(&vals[1])?),
-            Le => boolean(int(&vals[0])? <= int(&vals[1])?),
-            Gt => boolean(int(&vals[0])? > int(&vals[1])?),
-            Ge => boolean(int(&vals[0])? >= int(&vals[1])?),
-            Eq => boolean(value_eq(&vals[0], &vals[1])?),
-            Ne => boolean(!value_eq(&vals[0], &vals[1])?),
-            Min => Value::Int(int(&vals[0])?.min(int(&vals[1])?)),
-            Max => Value::Int(int(&vals[0])?.max(int(&vals[1])?)),
+            Neg => Value::Int(int(arg(self, 0))?.wrapping_neg()),
+            Lt => boolean(int(arg(self, 0))? < int(arg(self, 1))?),
+            Le => boolean(int(arg(self, 0))? <= int(arg(self, 1))?),
+            Gt => boolean(int(arg(self, 0))? > int(arg(self, 1))?),
+            Ge => boolean(int(arg(self, 0))? >= int(arg(self, 1))?),
+            Eq => boolean(value_eq(&arg(self, 0), &arg(self, 1))?),
+            Ne => boolean(!value_eq(&arg(self, 0), &arg(self, 1))?),
+            Min => Value::Int(int(arg(self, 0))?.min(int(arg(self, 1))?)),
+            Max => Value::Int(int(arg(self, 0))?.max(int(arg(self, 1))?)),
             RefNew => {
                 self.maybe_collect();
-                let addr = self.heap.alloc_slice(BlockTag::MutRef, &[vals[0]]);
+                let v = arg(self, 0);
+                let addr = self.heap.alloc_slice(BlockTag::MutRef, &[v]);
                 Value::Ref(addr)
             }
             RefGet => {
                 // §2.7.3: read, retain the content, release the ref.
-                let addr = ref_addr(&vals[0])?;
+                let r = arg(self, 0);
+                let addr = ref_addr(&r)?;
                 let content = self.heap.view(addr)?.fields[0];
                 self.heap.dup(content)?;
-                self.heap.drop_value(vals[0])?;
+                self.heap.drop_value(r)?;
                 content
             }
             RefSet => {
-                let addr = ref_addr(&vals[0])?;
+                let (r, x) = (arg(self, 0), arg(self, 1));
+                let addr = ref_addr(&r)?;
                 let block = self.heap.block_mut(addr)?;
                 if block.tag != BlockTag::MutRef {
                     return Err(RuntimeError::TypeMismatch(":= on a non-ref".into()));
                 }
-                let old = std::mem::replace(&mut block.fields[0], vals[1]);
+                let old = std::mem::replace(&mut block.fields[0], x);
                 self.heap.drop_value(old)?;
-                self.heap.drop_value(vals[0])?;
+                self.heap.drop_value(r)?;
                 Value::Unit
             }
             TShare => {
-                self.heap.tshare(vals[0])?;
-                self.heap.drop_value(vals[0])?;
+                let v = arg(self, 0);
+                self.heap.tshare(v)?;
+                self.heap.drop_value(v)?;
                 Value::Unit
             }
             Println => {
-                let n = match vals[0] {
+                let n = match arg(self, 0) {
                     Value::Int(i) => i,
                     Value::Unit => 0,
                     other => {
@@ -838,8 +841,8 @@ impl<'p> Machine<'p> {
         })
     }
 
-    /// Collect (GC mode) if the policy says so; all live values are in
-    /// environments at allocation points thanks to ANF.
+    /// Collect (GC mode) if the policy says so; all live values are on
+    /// the value stack at allocation points thanks to ANF.
     fn maybe_collect(&mut self) {
         let Some(collector) = &mut self.collector else {
             return;
@@ -847,13 +850,7 @@ impl<'p> Machine<'p> {
         if !collector.should_collect(&self.heap) {
             return;
         }
-        let frames = &self.frames;
-        let env = &self.env;
-        let roots = env.iter().chain(frames.iter().flat_map(|f| match f {
-            Frame::Call { env, .. } => env.iter(),
-            _ => [].iter(),
-        }));
-        collector.collect(&mut self.heap, roots);
+        collector.collect(&mut self.heap, self.stack.values());
     }
 
     // ---- inspection ----------------------------------------------------
@@ -870,20 +867,20 @@ impl<'p> Machine<'p> {
         self.heap.drop_value(v)
     }
 
-    /// Root values for the auditor.
+    /// Root values for the auditor: every value on the stack.
     pub(crate) fn root_values(&self) -> impl Iterator<Item = &Value> {
-        self.env
-            .iter()
-            .chain(self.frames.iter().flat_map(|f| match f {
-                Frame::Call { env, .. } => env.iter(),
-                _ => [].iter(),
-            }))
+        self.stack.values()
     }
 }
 
-fn frame_env(mut vals: Vec<Value>, nslots: usize) -> Vec<Value> {
-    vals.resize(nslots, Value::Unit);
-    vals
+/// A callee whose arguments are staged on the value stack, ready to be
+/// entered (a new frame) or jumped to (a tail call).
+struct Callee<'p> {
+    /// Where the staged arguments (captures first, for a closure) start.
+    mark: usize,
+    nslots: usize,
+    body: &'p RExpr,
+    kind: FrameKind,
 }
 
 /// What one step-loop leg produced (internal).
@@ -914,7 +911,7 @@ pub enum StepOutcome {
 /// A resumable execution: the machine's continuation state between
 /// [`Execution::run`] legs.
 ///
-/// While suspended it owns the environment, the frame stack, and the
+/// While suspended it owns the value stack, the frame stack, and the
 /// output buffer; the heap (including the profiler frame stack) stays
 /// with the [`Machine`]. A suspended execution is a precise, auditable
 /// snapshot: [`Execution::root_addrs`] plus
@@ -924,7 +921,7 @@ pub enum StepOutcome {
 pub struct Execution<'p> {
     cur: Option<&'p RExpr>,
     frames: Vec<Frame<'p>>,
-    env: Vec<Value>,
+    stack: ValueStack,
     output: Vec<i64>,
     steps: u64,
     code_uid: u64,
@@ -942,7 +939,7 @@ impl<'p> Execution<'p> {
     /// the profiler exits the entry frame exactly as the old
     /// run-to-completion API did. On `Suspended` the continuation moves
     /// back into `self` and the machine is left neutral (empty frames
-    /// and environment).
+    /// and value stack).
     pub fn run(
         &mut self,
         machine: &mut Machine<'p>,
@@ -961,7 +958,7 @@ impl<'p> Execution<'p> {
         let cur = self.cur.take().ok_or_else(|| {
             RuntimeError::Internal("resume of an execution that is already running".into())
         })?;
-        machine.env = std::mem::take(&mut self.env);
+        machine.stack = std::mem::take(&mut self.stack);
         machine.frames = std::mem::take(&mut self.frames);
         if !self.output.is_empty() {
             // Carry output printed by earlier legs (machine.output is
@@ -985,7 +982,7 @@ impl<'p> Execution<'p> {
             }
             Ok(Step::Suspend(next)) => {
                 self.cur = Some(next);
-                self.env = std::mem::take(&mut machine.env);
+                self.stack = std::mem::take(&mut machine.stack);
                 self.frames = std::mem::take(&mut machine.frames);
                 self.output = std::mem::take(&mut machine.output);
                 Ok(StepOutcome::Suspended {
@@ -1012,16 +1009,12 @@ impl<'p> Execution<'p> {
     }
 
     /// Heap roots of the suspended continuation: every live address
-    /// reachable from the environment or a pending frame. Feed these to
+    /// held in a slot of the current or a pending frame, across all of
+    /// the value stack's segments. Feed these to
     /// [`crate::audit::check_heap`] to assert garbage-freedom at the
     /// suspension point.
     pub fn root_addrs(&self, heap: &Heap) -> Vec<crate::value::Addr> {
-        collect_roots(
-            heap,
-            self.env
-                .iter()
-                .chain(self.frames.iter().flat_map(frame_values)),
-        )
+        collect_roots(heap, self.stack.values())
     }
 
     /// Parks the suspended execution as a lifetime-erased
@@ -1040,8 +1033,8 @@ impl<'p> Execution<'p> {
             .frames
             .into_iter()
             .map(|f| match f {
-                Frame::Call { env, dst, cont } => RawFrame::Call {
-                    env,
+                Frame::Call { caller, dst, cont } => RawFrame::Call {
+                    caller,
                     dst,
                     cont: cont.map(erase),
                 },
@@ -1056,7 +1049,7 @@ impl<'p> Execution<'p> {
             code_uid: self.code_uid,
             cur: erase(cur),
             frames,
-            env: self.env,
+            stack: self.stack,
             output: self.output,
             steps: self.steps,
         })
@@ -1065,13 +1058,6 @@ impl<'p> Execution<'p> {
 
 fn erase(e: &RExpr) -> usize {
     e as *const RExpr as usize
-}
-
-fn frame_values<'a, 'p>(f: &'a Frame<'p>) -> std::slice::Iter<'a, Value> {
-    match f {
-        Frame::Call { env, .. } => env.iter(),
-        _ => [].iter(),
-    }
 }
 
 fn collect_roots<'a>(
@@ -1102,14 +1088,14 @@ pub struct Checkpoint {
     code_uid: u64,
     cur: usize,
     frames: Vec<RawFrame>,
-    env: Vec<Value>,
+    stack: ValueStack,
     output: Vec<i64>,
     steps: u64,
 }
 
 enum RawFrame {
     Call {
-        env: Vec<Value>,
+        caller: Caller,
         dst: Option<Slot>,
         cont: Option<usize>,
     },
@@ -1129,18 +1115,10 @@ impl Checkpoint {
     }
 
     /// Heap roots of the parked continuation (safe: roots live in the
-    /// captured environments, not behind the erased code pointers), for
+    /// captured value stack, not behind the erased code pointers), for
     /// auditing a parked session with [`crate::audit::check_heap`].
     pub fn root_addrs(&self, heap: &Heap) -> Vec<crate::value::Addr> {
-        collect_roots(
-            heap,
-            self.env
-                .iter()
-                .chain(self.frames.iter().flat_map(|f| match f {
-                    RawFrame::Call { env, .. } => env.iter(),
-                    _ => [].iter(),
-                })),
-        )
+        collect_roots(heap, self.stack.values())
     }
 
     /// Un-parks the checkpoint against its compiled program.
@@ -1173,8 +1151,8 @@ impl Checkpoint {
             .frames
             .into_iter()
             .map(|f| match f {
-                RawFrame::Call { env, dst, cont } => Frame::Call {
-                    env,
+                RawFrame::Call { caller, dst, cont } => Frame::Call {
+                    caller,
                     dst,
                     cont: cont.map(expr),
                 },
@@ -1188,7 +1166,7 @@ impl Checkpoint {
         Ok(Execution {
             cur: Some(expr(self.cur)),
             frames,
-            env: self.env,
+            stack: self.stack,
             output: self.output,
             steps: self.steps,
             code_uid: self.code_uid,

@@ -306,6 +306,9 @@ fn client(
     report: Arc<Mutex<LoadReport>>,
 ) -> Result<(), String> {
     let stream = TcpStream::connect(&cfg.addr).map_err(|e| format!("connect: {e}"))?;
+    stream
+        .set_nodelay(true)
+        .map_err(|e| format!("nodelay: {e}"))?;
     let mut writer = stream.try_clone().map_err(|e| format!("clone: {e}"))?;
     let mut reader = BufReader::new(stream);
 
@@ -340,10 +343,7 @@ fn client(
                 resumed: false,
             },
         );
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .map_err(|e| format!("send: {e}"))
+        send_line(writer, &line)
     };
 
     // Fill the window.
@@ -386,10 +386,7 @@ fn client(
                 Some(token) => {
                     let line = resume_line(id, token, cfg.resume_fuel);
                     inflight.insert(id, pending);
-                    writer
-                        .write_all(line.as_bytes())
-                        .and_then(|()| writer.write_all(b"\n"))
-                        .map_err(|e| format!("send: {e}"))?;
+                    send_line(&mut writer, &line)?;
                 }
                 None => send(id, &mut writer, &mut inflight)?,
             }
@@ -412,10 +409,7 @@ fn client(
             pending.resume_of = Some(token);
             pending.resumed = true;
             inflight.insert(id, pending);
-            writer
-                .write_all(resume.as_bytes())
-                .and_then(|()| writer.write_all(b"\n"))
-                .map_err(|e| format!("send: {e}"))?;
+            send_line(&mut writer, &resume)?;
             continue;
         }
 
@@ -500,6 +494,15 @@ fn client(
     r.drift_violations.extend(local.drift_violations);
     r.latencies_micros.extend(local.latencies_micros);
     Ok(())
+}
+
+/// Sends one request line and its newline in a single write, so the
+/// request leaves as one segment.
+fn send_line(writer: &mut TcpStream, line: &str) -> Result<(), String> {
+    let mut buf = Vec::with_capacity(line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    writer.write_all(&buf).map_err(|e| format!("send: {e}"))
 }
 
 /// Queries the daemon's `stats` op for the post-run drain check:

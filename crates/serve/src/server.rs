@@ -226,6 +226,9 @@ fn connection(
     max_inflight: u64,
     workers: usize,
 ) {
+    // Replies are single small writes; without TCP_NODELAY, Nagle's
+    // algorithm would hold each one until the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
     let Ok(write_half) = stream.try_clone() else {
         return;
     };
@@ -234,10 +237,11 @@ fn connection(
     let (reply_tx, reply_rx) = mpsc::channel::<String>();
     let writer = std::thread::spawn(move || {
         let mut out = write_half;
-        while let Ok(line) = reply_rx.recv() {
+        while let Ok(mut line) = reply_rx.recv() {
+            // One write per reply: the line and its newline together.
+            line.push('\n');
             if out
                 .write_all(line.as_bytes())
-                .and_then(|()| out.write_all(b"\n"))
                 .and_then(|()| out.flush())
                 .is_err()
             {

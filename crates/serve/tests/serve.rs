@@ -281,6 +281,32 @@ fn health_shutdown_and_bad_requests() {
     h.join();
 }
 
+/// Sequential request/reply round trips on one connection are not held
+/// back by Nagle's algorithm: each reply leaves as one write on a
+/// `TCP_NODELAY` socket. With the newline sent as a second small write,
+/// each round trip waited out the client's delayed ACK (tens of ms).
+#[test]
+fn sequential_round_trips_are_not_delayed() {
+    let h = server(|_| {});
+    let stream = TcpStream::connect(h.addr()).expect("connect");
+    let mut w = stream.try_clone().expect("clone");
+    let mut reader = BufReader::new(stream);
+    let started = std::time::Instant::now();
+    for _ in 0..20 {
+        w.write_all(b"{\"op\":\"stats\"}\n").unwrap();
+        let mut line = String::new();
+        assert!(reader.read_line(&mut line).unwrap() > 0, "early EOF");
+        json::parse(line.trim()).expect("valid stats json");
+    }
+    let elapsed = started.elapsed();
+    assert!(
+        elapsed < std::time::Duration::from_millis(200),
+        "20 stats round trips took {elapsed:?}"
+    );
+    h.shutdown();
+    h.join();
+}
+
 #[test]
 fn malformed_requests_get_structured_answers_and_the_connection_survives() {
     let h = server(|_| {});

@@ -1,8 +1,9 @@
 //! Machine-level behavioral tests: tail calls, closures, aborts, step
 //! limits, deep data, and the §2.6 constant-stack claim.
 
-use perceus_runtime::machine::RunConfig;
-use perceus_runtime::RuntimeError;
+use perceus_runtime::machine::{Machine, RunConfig, StepOutcome};
+use perceus_runtime::{audit, RuntimeError, Value};
+use perceus_suite::driver::oracle_run_program;
 use perceus_suite::{compile_and_run, compile_workload, run_workload, Strategy, SuiteError};
 
 /// Tail calls must not grow the continuation stack: a 10-million
@@ -229,4 +230,204 @@ fn repeated_runs_share_compiled_code() {
             assert_eq!(a.stats, b.stats, "stats deterministic across runs");
         }
     }
+}
+
+/// Runs `src` under both Perceus configurations and checks the value
+/// against the standard-semantics oracle and the heap for leaks. The
+/// oracle runs the normalized program, whose lambdas carry their
+/// capture lists.
+fn agrees_with_oracle_without_leaks(src: &str, n: i64) {
+    let mut program = perceus_lang::compile_str(src).expect("front end");
+    perceus_core::passes::normalize::normalize_program(&mut program);
+    let (want, _) = oracle_run_program(&program, n, 100_000_000).expect("oracle run");
+    for s in [Strategy::Perceus, Strategy::PerceusNoOpt] {
+        let out = compile_and_run(src, s, n, RunConfig::default()).unwrap();
+        assert_eq!(out.value, want, "{}", s.label());
+        assert_eq!(out.leaked_blocks, 0, "{}", s.label());
+    }
+}
+
+/// `sweep` starts the tail-call chain below every non-tail depth up to
+/// 700, so across the sweep the chain's first frame sits at every
+/// offset of the value stack's first segments — including the last
+/// frame before a segment boundary.
+const DEPTH_SWEEP: &str = r#"
+fun sweep(d: int, limit: int, n: int, acc: int): int {
+  if d > limit then acc
+  else sweep(d + 1, limit, n, (acc + descend(d, n)) % 1000003)
+}
+"#;
+
+/// Tail calls overwrite the dying frame in place, so a call that
+/// permutes or repeats its own parameters must read every argument
+/// before writing any. `narrow` and `wide` jump to each other with
+/// permuted arguments; `wide` has several more slots, so near a
+/// segment boundary the jump also moves the frame to a new segment.
+#[test]
+fn tail_calls_that_permute_their_parameters() {
+    let src = format!(
+        "{DEPTH_SWEEP}{}",
+        r#"
+type list { Nil; Cons(head: int, tail: list) }
+
+fun len(xs: list, acc: int): int {
+  match xs {
+    Nil -> acc
+    Cons(_, t) -> len(t, acc + 1)
+  }
+}
+
+fun narrow(n: int, a: int, b: int, xs: list, ys: list): int {
+  if n == 0 then a + b + len(xs, 0) * 1000 + len(ys, 0)
+  else wide(n - 1, b, (a + b) % 1009, ys, Cons(a, xs))
+}
+
+fun wide(n: int, a: int, b: int, xs: list, ys: list): int {
+  val p = a * 3 + 1
+  val q = b * 5 + 2
+  val r = (p + q) % 1013
+  val s = (p * q) % 1019
+  val t = (r + s + n) % 1021
+  if n == 0 then a + b + t + len(xs, 0)
+  else narrow(n - 1, t, a, ys, xs)
+}
+
+fun descend(d: int, n: int): int {
+  if d == 0 then narrow(n, 1, 2, Nil, Nil)
+  else 1 + descend(d - 1, n)
+}
+
+fun main(n: int): int { sweep(0, 700, n, 0) }
+"#
+    );
+    agrees_with_oracle_without_leaks(&src, 25);
+}
+
+/// The same through closure application: `bounce` applies the closure
+/// in its `fbox` in tail position with permuted arguments, and the
+/// closure tail-calls `bounce` back, permuting again.
+#[test]
+fn tail_applications_that_permute_their_parameters() {
+    let src = format!(
+        "{DEPTH_SWEEP}{}",
+        r#"
+type fbox { Box(f: (int, int, int, fbox) -> int) }
+
+fun bounce(n: int, a: int, b: int, k: fbox): int {
+  if n == 0 then a * 1000 + b
+  else match k {
+    Box(f) -> f(n - 1, b, (a + b) % 1009, k)
+  }
+}
+
+fun descend(d: int, n: int): int {
+  val c = n % 7
+  val k = Box(fn(i, x, y, kk) { bounce(i, y + c, x, kk) })
+  if d == 0 then bounce(n, 1, 2, k)
+  else 1 + descend(d - 1, n)
+}
+
+fun main(n: int): int { sweep(0, 700, n, 0) }
+"#
+    );
+    agrees_with_oracle_without_leaks(&src, 25);
+}
+
+/// A non-tail recursion that allocates a cell at every level and, at
+/// every `hold_every`-th level, holds it in its frame across the
+/// recursive call: at the bottom, those cells are reachable only from
+/// frames spread over many segments of the value stack.
+fn deep_cells(hold_every: i64) -> String {
+    r#"
+type list { Nil; Cons(head: int, tail: list) }
+
+fun deep(n: int): int {
+  if n == 0 then 0
+  else {
+    val cell = Cons(n, Nil)
+    if n % {K} == 0 then {
+      val r = deep(n - 1)
+      match cell {
+        Cons(x, _) -> r + x
+        Nil -> r
+      }
+    } else deep(n - 1) + 0
+  }
+}
+
+fun main(n: int): int { deep(n) }
+"#
+    .replace("{K}", &hold_every.to_string())
+}
+
+const DEEP_N: i64 = 200_000;
+
+/// `deep(DEEP_N)` with every `k`th cell held: the sum of those levels.
+fn deep_sum(k: i64) -> String {
+    let m = DEEP_N / k;
+    (k * m * (m + 1) / 2).to_string()
+}
+
+/// GC roots span every segment: with a small threshold the collector
+/// runs while the cells sit in deep frames, and a cell it missed would
+/// be swept and then read (`UseAfterFree`).
+#[test]
+fn gc_roots_span_every_stack_segment() {
+    let config = RunConfig::new().with_gc(Some(perceus_runtime::gc::GcConfig {
+        initial_threshold: 64,
+        growth_factor: 1.5,
+    }));
+    let out = compile_and_run(&deep_cells(1), Strategy::Gc, DEEP_N, config).unwrap();
+    assert_eq!(format!("{}", out.value), deep_sum(1));
+    assert!(out.stats.gc_collections > 5, "{:?}", out.stats);
+}
+
+/// The in-flight auditor sees the cells in deep frames as roots: a
+/// frame it missed would make its cell look like floating garbage.
+#[test]
+fn audits_find_roots_in_every_stack_segment() {
+    let config = RunConfig::new().with_audit_every(Some(400_000));
+    let out = compile_and_run(&deep_cells(1), Strategy::Perceus, DEEP_N, config).unwrap();
+    assert_eq!(format!("{}", out.value), deep_sum(1));
+    assert!(out.audits > 0);
+    assert_eq!(out.leaked_blocks, 0);
+}
+
+/// Parking the deep recursion as a checkpoint every 1000 steps moves
+/// every segment out of the machine and back: the suspended roots must
+/// cover all of them at every suspension, and the resumed schedule is
+/// identical to the uninterrupted one. Every 64th level holds its cell
+/// (several per segment), which keeps the thousands of heap audits
+/// cheap.
+#[test]
+fn checkpoints_carry_every_stack_segment() {
+    let compiled = compile_workload(&deep_cells(64), Strategy::Perceus).unwrap();
+    let whole = run_workload(&compiled, Strategy::Perceus, DEEP_N, RunConfig::default()).unwrap();
+
+    let mut m = Machine::new(
+        &compiled,
+        Strategy::Perceus.reclaim_mode(),
+        RunConfig::default(),
+    );
+    let mut exec = m.start_entry(vec![Value::Int(DEEP_N)]).unwrap();
+    let mut legs = 0u64;
+    let v = loop {
+        match exec.run(&mut m, Some(1000)).unwrap() {
+            StepOutcome::Done(v) => break v,
+            StepOutcome::Suspended { .. } => {
+                legs += 1;
+                let parked = exec.into_checkpoint().unwrap();
+                let roots = parked.root_addrs(&m.heap);
+                audit::check_heap(&m.heap, &roots).unwrap_or_else(|e| panic!("leg {legs}: {e}"));
+                // SAFETY: `compiled` is the program the checkpoint was
+                // parked from and outlives the resumed execution.
+                exec = unsafe { parked.resume(&compiled) }.unwrap();
+            }
+        }
+    };
+    assert!(legs > 1000, "the budget must bite: {legs} legs");
+    assert_eq!(format!("{}", m.read_back(v).unwrap()), deep_sum(64));
+    m.drop_result(v).unwrap();
+    assert_eq!(m.heap.live_blocks(), 0);
+    assert_eq!(m.heap.stats, whole.stats, "bit-identical schedule");
 }
